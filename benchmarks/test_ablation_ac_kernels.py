@@ -13,6 +13,12 @@ Runs the same injection-only Monte Carlo ensemble through the
   factorizations walk each iterate in before Newton polishes, which
   collapses the polish to (usually) a single mismatch check.
 
+Both warm modes reduce each chunk to records with array ops over the
+stacked voltages (``repro.powerflow.solution.branch_flows`` plus the
+runner's ``_pf_records``) rather than one ``PowerFlowResult`` per row,
+so the warm walls hold solve and record cost only; the cold mode
+builds and reduces a full result per scenario.
+
 Every warm run is asserted against the cold run under the parity
 contract (identical convergence and violation sets, numerics within
 1e-6 — Newton iterates are path-dependent, so bit-identity is not the

@@ -2,7 +2,10 @@
 
 Runs the same Monte Carlo load ensemble serially and through the
 process-pool path, checks the two produce bit-identical aggregates, and
-reports the wall-clock speedup.  On a multi-core machine the parallel
+reports the wall-clock speedup.  Each mode runs ``REPEATS`` times, the
+mode order alternating between repeats, and the speedup compares the
+per-mode minimum walls: a single pair of sub-second runs reads whatever
+the scheduler did at that moment.  On a multi-core machine the parallel
 runner must beat serial execution; on a single core the table still
 documents the (absent) headroom without failing the suite.
 """
@@ -22,26 +25,36 @@ from repro.scenarios import BatchStudyRunner, monte_carlo_ensemble
 CASE = "ieee57"
 N_SCENARIOS = 96
 SIGMA = 0.05
+REPEATS = 3
 
 
 def _run_all():
     net = load_case(CASE)
     scenarios = monte_carlo_ensemble(n=N_SCENARIOS, sigma=SIGMA, seed=11)
-    jobs = min(4, os.cpu_count() or 1)
+    jobs = max(min(4, os.cpu_count() or 1), 2)
+    modes = (("serial", 1), ("parallel", jobs))
 
-    serial = BatchStudyRunner(analysis="powerflow", n_jobs=1).run(net, scenarios)
-    parallel = BatchStudyRunner(analysis="powerflow", n_jobs=max(jobs, 2)).run(
-        net, scenarios
-    )
-    return serial, parallel, jobs
+    runs: dict[str, list] = {"serial": [], "parallel": []}
+    for repeat in range(REPEATS):
+        for mode, n_jobs in modes[repeat % 2:] + modes[: repeat % 2]:
+            runs[mode].append(
+                BatchStudyRunner(analysis="powerflow", n_jobs=n_jobs).run(
+                    net, scenarios
+                )
+            )
+    return runs
 
 
 def test_ablation_scenario_runner(benchmark):
-    serial, parallel, jobs = benchmark.pedantic(_run_all, rounds=1, iterations=1)
+    runs = benchmark.pedantic(_run_all, rounds=1, iterations=1)
 
     # Parallel dispatch must not change the study's numbers.
-    assert serial.aggregate().to_dict() == parallel.aggregate().to_dict()
+    reference = runs["serial"][0].aggregate().to_dict()
+    for study in runs["serial"] + runs["parallel"]:
+        assert study.aggregate().to_dict() == reference
 
+    serial = min(runs["serial"], key=lambda s: s.runtime_s)
+    parallel = min(runs["parallel"], key=lambda s: s.runtime_s)
     speedup = serial.runtime_s / max(parallel.runtime_s, 1e-9)
     cores = os.cpu_count() or 1
     if cores > 1 and parallel.n_jobs > 1 and not os.environ.get("CI"):
@@ -71,7 +84,8 @@ def test_ablation_scenario_runner(benchmark):
         ),
         "",
         f"case {CASE}, {N_SCENARIOS}-draw Monte Carlo ensemble, sigma "
-        f"{SIGMA:.0%}; host has {cores} core(s)",
+        f"{SIGMA:.0%}; min of {REPEATS} alternating repeats per runner; "
+        f"host has {cores} core(s)",
         "aggregates are bit-identical between serial and parallel runs",
     ]
     emit(

@@ -136,6 +136,12 @@ class Network:
         # repeated AC solves of an unmodified network (recovery-ladder
         # rungs, warm-started ensembles) stop rebuilding Ybus.
         self._adm_memo: tuple[int, object] | None = None
+        # (version, per-load arrays) memo maintained by
+        # scenarios.spec.LoadVector.from_network, and (version,
+        # {n_zones: ordinals}) behind zone_ordinals — same rule again, so
+        # vectorised scenario replay stops re-reading the load objects.
+        self._loads_memo: tuple[int, tuple] | None = None
+        self._zone_memo: tuple[int, dict[int, np.ndarray]] | None = None
 
     # ------------------------------------------------------------------
     # construction
@@ -263,6 +269,7 @@ class Network:
             label = clean[bus]
             ordinal = ordinals.setdefault(label, len(ordinals) + 1)
             self.buses[bus].zone = ordinal
+        self.touch()
 
     def bus_zone(self, bus: int, n_default: int = DEFAULT_ZONE_BANDS) -> str:
         """Feeder label for ``bus``: explicit if set, banded otherwise.
@@ -293,15 +300,35 @@ class Network:
         ``bus * n_zones // n_bus`` unchanged.
         """
         self._check_bus(bus)
+        return int(self.zone_ordinals(n_zones)[bus])
+
+    def zone_ordinals(self, n_zones: int) -> np.ndarray:
+        """:meth:`zone_index` of every bus, as an array indexed by bus.
+
+        Memoised per network version, so a zonal ensemble computes the
+        partition once rather than once per load row.  Read-only: callers
+        share the cached array.
+        """
         if n_zones < 1:
             raise ValueError(f"n_zones must be >= 1, got {n_zones}")
-        if not self._bus_zones:
-            return bus * n_zones // self.n_bus
-        label = self.bus_zone(bus, n_zones)
-        ordinals: dict[str, int] = {}
-        for b in range(self.n_bus):
-            ordinals.setdefault(self.bus_zone(b, n_zones), len(ordinals))
-        return ordinals[label] % n_zones
+        memo = getattr(self, "_zone_memo", None)
+        if memo is None or memo[0] != self._version:
+            memo = self._zone_memo = (self._version, {})
+        ordinals = memo[1].get(n_zones)
+        if ordinals is None:
+            if not self._bus_zones:
+                ordinals = np.arange(self.n_bus) * n_zones // self.n_bus
+            else:
+                labels = [self.bus_zone(b, n_zones) for b in range(self.n_bus)]
+                first_seen: dict[str, int] = {}
+                for label in labels:
+                    first_seen.setdefault(label, len(first_seen))
+                ordinals = np.array(
+                    [first_seen[label] % n_zones for label in labels], dtype=np.int64
+                )
+            ordinals.flags.writeable = False
+            memo[1][n_zones] = ordinals
+        return ordinals
 
     # ------------------------------------------------------------------
     # mutation (agent-facing edits)
@@ -312,6 +339,8 @@ class Network:
         self._compiled = None
         self._content_hash_memo = None
         self._adm_memo = None
+        self._loads_memo = None
+        self._zone_memo = None
 
     def set_load(self, bus: int, pd_mw: float, qd_mvar: float | None = None) -> Load:
         """Set the total load at ``bus``, creating a load if none exists.

@@ -27,6 +27,13 @@ tiers, each cheaper than the last:
    each remaining row to the exact scalar-path tolerance; rows it cannot
    converge fall back to the caller's scalar recovery ladder.
 
+Records come off the stacked voltages too: the study runner reduces a
+whole chunk with :func:`~repro.powerflow.solution.branch_flows` (the
+same flow/loading/loss arithmetic :func:`finalize_solution` runs for one
+row) plus array min/max/count ops, never building a per-row
+:class:`PowerFlowResult`.  :meth:`AcKernel.finalize_row` still assembles
+the full result for callers that want one.
+
 The contract is *parity*, not bit-identity (Newton iterates are
 path-dependent): identical ``converged`` flags, identical overloaded-
 branch and voltage-violation sets, every mismatch under the same ``tol``,
@@ -249,7 +256,7 @@ class AcKernel:
         return AcChunkSolution(v_out, converged, iterations, norms, skipped)
 
     # ------------------------------------------------------------------
-    # per-row finalization
+    # full per-row result (off the study hot path)
     # ------------------------------------------------------------------
     def finalize_row(
         self,
@@ -262,6 +269,10 @@ class AcKernel:
         norm: float,
     ) -> PowerFlowResult:
         """Assemble the full :class:`PowerFlowResult` for one chunk row.
+
+        Studies do not call this: their records reduce the whole chunk at
+        once (see the module docstring), bit-identical to reducing this
+        result.
 
         ``pd``/``qd`` are the scenario's per-bus load vectors (p.u.):
         generation allocation reads them off the snapshot, so the cached

@@ -9,6 +9,7 @@ validation layer checks against its 1e-4 p.u. tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -93,17 +94,10 @@ def finalize_solution(
 ) -> PowerFlowResult:
     """Assemble a :class:`PowerFlowResult` from a final voltage vector."""
     base = arr.base_mva
-    sf = v[arr.f_bus] * np.conj(adm.yf @ v)
-    st = v[arr.t_bus] * np.conj(adm.yt @ v)
+    flows = branch_flows(arr, adm, v[np.newaxis, :])
+    sf, st = flows.s_from_pu[0], flows.s_to_pu[0]
     s_from = np.abs(sf) * base
     s_to = np.abs(st) * base
-    s_worst = np.maximum(s_from, s_to)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        loading = np.where(
-            arr.rate_a > 0, 100.0 * s_worst / (arr.rate_a * base), 0.0
-        )
-
-    losses = (sf + st) * base
 
     gen_p, gen_q = _allocate_generation(arr, adm, v)
 
@@ -120,15 +114,54 @@ def finalize_solution(
         q_to_mvar=st.imag * base,
         s_from_mva=s_from,
         s_to_mva=s_to,
-        loading_percent=loading,
+        loading_percent=flows.loading_percent[0],
         branch_ids=arr.branch_ids.copy(),
         gen_p_mw=gen_p * base,
         gen_q_mvar=gen_q * base,
         gen_ids=arr.gen_ids.copy(),
-        losses_mw=float(losses.real.sum()),
-        losses_mvar=float(losses.imag.sum()),
+        losses_mw=float(flows.losses_mw[0]),
+        losses_mvar=float(flows.losses_mvar[0]),
         runtime_s=runtime_s,
         message=message,
+    )
+
+
+class BranchFlows(NamedTuple):
+    """Stacked branch-level quantities: row ``i`` is voltage row ``i``."""
+
+    s_from_pu: np.ndarray  # (n, n_branch) complex from-end power
+    s_to_pu: np.ndarray  # (n, n_branch) complex to-end power
+    loading_percent: np.ndarray  # (n, n_branch) vs rate_a (0 where unrated)
+    losses_mw: np.ndarray  # (n,)
+    losses_mvar: np.ndarray  # (n,)
+
+
+def branch_flows(
+    arr: NetworkArrays, adm: AdmittanceMatrices, v: np.ndarray
+) -> BranchFlows:
+    """Branch flows, loading and losses for stacked ``(n, n_bus)`` voltages.
+
+    The one flow/loading/loss reduction: :func:`finalize_solution` feeds
+    it a single row, the warm AC kernel a whole chunk.  Every row's
+    numbers depend on that row alone — one sparse product per end, and
+    losses summed over C-contiguous rows (a strided view would make the
+    summation order, and so the last bit, depend on the chunk's shape).
+    """
+    base = arr.base_mva
+    sf = v[:, arr.f_bus] * np.conj((adm.yf @ v.T).T)
+    st = v[:, arr.t_bus] * np.conj((adm.yt @ v.T).T)
+    s_worst = np.maximum(np.abs(sf), np.abs(st)) * base
+    with np.errstate(divide="ignore", invalid="ignore"):
+        loading = np.where(
+            arr.rate_a > 0, 100.0 * s_worst / (arr.rate_a * base), 0.0
+        )
+    losses = (sf + st) * base
+    return BranchFlows(
+        s_from_pu=sf,
+        s_to_pu=st,
+        loading_percent=loading,
+        losses_mw=np.ascontiguousarray(losses.real).sum(axis=1),
+        losses_mvar=np.ascontiguousarray(losses.imag).sum(axis=1),
     )
 
 

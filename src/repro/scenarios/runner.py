@@ -42,7 +42,7 @@ import itertools
 import math
 import os
 import time
-from collections import deque
+from collections import Counter, deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
@@ -67,6 +67,7 @@ from ..grid import graph as gridgraph
 from ..grid.network import Network
 from ..powerflow.ac_batch import AcKernel
 from ..powerflow.batch import DcKernel, topology_digest
+from ..powerflow.solution import branch_flows
 from .aggregate import (
     DEFAULT_SLICE_MAX_VALUES,
     SlicedReducer,
@@ -576,13 +577,10 @@ class _WorkerState:
         tick = time.perf_counter()
         results: list[ScenarioResult | None] = [None] * len(scenarios)
         rows: list[np.ndarray] = []
-        loads: list[tuple[np.ndarray, np.ndarray]] = []
         live: list[int] = []
         for i, scenario in enumerate(scenarios):
             try:
-                sbus, pd, qd = scenario.ac_injection(base)
-                rows.append(sbus)
-                loads.append((pd, qd))
+                rows.append(scenario.ac_injection(base)[0])
                 live.append(i)
             except ScenarioError as exc:
                 results[i] = ScenarioResult(
@@ -605,30 +603,29 @@ class _WorkerState:
                     np.vstack(rows), fd_sweeps=cfg.ac_fd_sweeps
                 )
                 per_scn = (time.perf_counter() - tick) / len(live)
+                # Rows the polish did not converge stay None: the caller
+                # runs them through the cold ladder.
+                ok = np.flatnonzero(sol.converged)
+                v = sol.v[ok]
+                flows = branch_flows(kernel.arr, kernel.adm, v)
+                records = self._pf_records(
+                    [scenarios[live[j]] for j in ok],
+                    np.abs(v),
+                    flows.loading_percent,
+                    flows.losses_mw,
+                    kernel.arr.branch_ids,
+                )
                 iters_hist = metrics.histogram(
                     "gridmind_ac_newton_iterations",
                     "Newton iterations per AC ensemble scenario",
                     buckets=ITERATION_BUCKETS,
                 )
-                n_warm = 0
-                n_skipped = 0
-                for j, i in enumerate(live):
-                    if not sol.converged[j]:
-                        continue  # leave None: caller runs the cold ladder
-                    pd, qd = loads[j]
-                    res = kernel.finalize_row(
-                        sol.v[j], pd, qd,
-                        converged=True,
-                        iterations=int(sol.iterations[j]),
-                        norm=float(sol.norms[j]),
-                    )
-                    results[i] = self._pf_record(scenarios[i], res)
-                    results[i].solve_time_s = per_scn
+                for j, record in zip(ok, records):
+                    record.solve_time_s = per_scn
+                    results[live[j]] = record
                     iters_hist.observe(float(sol.iterations[j]), mode="warm")
-                    if sol.skipped[j]:
-                        n_skipped += 1
-                    else:
-                        n_warm += 1
+                n_skipped = int(np.count_nonzero(sol.skipped[ok]))
+                n_warm = len(ok) - n_skipped
                 if n_warm:
                     metrics.counter(
                         "gridmind_ac_warm_solves_total",
@@ -646,9 +643,9 @@ class _WorkerState:
         counter = metrics.counter(
             "gridmind_scenarios_total", "Scenario evaluations by outcome"
         )
-        for r in results:
-            if r is not None:
-                counter.inc(analysis=cfg.analysis, converged=r.converged)
+        outcomes = Counter(r.converged for r in results if r is not None)
+        for converged, n in outcomes.items():
+            counter.inc(n, analysis=cfg.analysis, converged=converged)
         return results
 
     # ------------------------------------------------------------------
@@ -707,24 +704,51 @@ class _WorkerState:
             res, _trace = solve_with_recovery(net)
         return res
 
-    def _pf_record(self, scenario: Scenario, res) -> ScenarioResult:
-        """Reduce one converged AC result to a record — the single
+    def _pf_records(
+        self,
+        scenarios: list[Scenario],
+        vm: np.ndarray,
+        loading: np.ndarray,
+        losses_mw: np.ndarray,
+        branch_ids: np.ndarray,
+    ) -> list[ScenarioResult]:
+        """Reduce stacked converged AC solutions to records — the single
         reduction the scalar and warm-kernel paths share, so their
-        violation sets and aggregate fields agree by construction."""
+        violation sets and aggregate fields agree by construction.
+
+        Row ``k`` of ``vm`` (``(n, n_bus)``, p.u.), ``loading``
+        (``(n, n_branch)``, %) and ``losses_mw`` (``(n,)``) belongs to
+        ``scenarios[k]``; every field of its record depends on that row
+        alone, so records do not depend on how rows were chunked.
+        """
         cfg = self.config
-        overloads = res.overloaded_branches(cfg.overload_threshold)
-        violations = res.voltage_violations(cfg.vmin, cfg.vmax)
-        return ScenarioResult(
-            name=scenario.name,
-            tags=dict(scenario.tags),
-            converged=True,
-            max_loading_percent=res.max_loading_percent,
-            min_voltage_pu=res.min_voltage_pu,
-            max_voltage_pu=res.max_voltage_pu,
-            losses_mw=res.losses_mw,
-            overloaded_branches=[b for b, _pct in overloads],
-            n_voltage_violations=len(violations),
-        )
+        n = len(scenarios)
+        max_loading = loading.max(axis=1) if loading.shape[1] else np.zeros(n)
+        vm_min = vm.min(axis=1)
+        vm_max = vm.max(axis=1)
+        n_volt = np.count_nonzero((vm < cfg.vmin) | (vm > cfg.vmax), axis=1)
+        over = loading > cfg.overload_threshold
+        any_over = over.any(axis=1)
+        records = []
+        for k, scenario in enumerate(scenarios):
+            overloaded: list[int] = []
+            if any_over[k]:
+                rows = np.flatnonzero(over[k])
+                # Worst first; the stable sort keeps ties in branch-row order.
+                rows = rows[np.argsort(-loading[k, rows], kind="stable")]
+                overloaded = branch_ids[rows].tolist()
+            records.append(ScenarioResult(
+                name=scenario.name,
+                tags=dict(scenario.tags),
+                converged=True,
+                max_loading_percent=float(max_loading[k]),
+                min_voltage_pu=float(vm_min[k]),
+                max_voltage_pu=float(vm_max[k]),
+                losses_mw=float(losses_mw[k]),
+                overloaded_branches=overloaded,
+                n_voltage_violations=int(n_volt[k]),
+            ))
+        return records
 
     def _run_powerflow(self, net: Network, scenario: Scenario) -> ScenarioResult:
         res = self._solve_pf(net)
@@ -739,7 +763,13 @@ class _WorkerState:
                 name=scenario.name, tags=dict(scenario.tags),
                 converged=False, error=res.message or "power flow diverged",
             )
-        return self._pf_record(scenario, res)
+        return self._pf_records(
+            [scenario],
+            res.vm[np.newaxis, :],
+            res.loading_percent[np.newaxis, :],
+            np.array([res.losses_mw]),
+            res.branch_ids,
+        )[0]
 
     def _reduce_opf(self, scenario: Scenario, res) -> ScenarioResult:
         """Shared OPF-result reduction (DCOPF / ACOPF / SCOPF master)."""

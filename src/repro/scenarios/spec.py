@@ -70,12 +70,21 @@ class LoadVector:
 
     @classmethod
     def from_network(cls, net: Network) -> "LoadVector":
-        return cls(
-            bus=np.array([ld.bus for ld in net.loads], dtype=np.int64),
-            pd_mw=np.array([ld.pd_mw for ld in net.loads], dtype=float),
-            qd_mvar=np.array([ld.qd_mvar for ld in net.loads], dtype=float),
-            in_service=np.array([ld.in_service for ld in net.loads], dtype=bool),
-        )
+        """A private copy of ``net``'s per-load arrays.
+
+        The arrays are read off the load objects once per network version
+        (the ``touch()`` rule every network memo follows) and copied per
+        call, so perturbations may mutate the view freely.
+        """
+        memo = getattr(net, "_loads_memo", None)
+        if memo is None or memo[0] != net.version:
+            memo = net._loads_memo = (net.version, (
+                np.array([ld.bus for ld in net.loads], dtype=np.int64),
+                np.array([ld.pd_mw for ld in net.loads], dtype=float),
+                np.array([ld.qd_mvar for ld in net.loads], dtype=float),
+                np.array([ld.in_service for ld in net.loads], dtype=bool),
+            ))
+        return cls(*(a.copy() for a in memo[1]))
 
     def __len__(self) -> int:
         return len(self.pd_mw)
@@ -251,8 +260,9 @@ class ZonalLoadScale(Perturbation):
         for f in self.factors:
             if f < 0:
                 raise ScenarioError(f"zone factors must be >= 0, got {f}")
+        zones = net.zone_ordinals(z)
         for ld in net.loads:
-            f = self.factors[net.zone_index(ld.bus, z)]
+            f = self.factors[zones[ld.bus]]
             ld.pd_mw *= f
             ld.qd_mvar *= f
         net.touch()
@@ -264,9 +274,7 @@ class ZonalLoadScale(Perturbation):
         for f in self.factors:
             if f < 0:
                 raise ScenarioError(f"zone factors must be >= 0, got {f}")
-        per_row = np.array(
-            [self.factors[net.zone_index(int(b), z)] for b in loads.bus], dtype=float
-        )
+        per_row = np.asarray(self.factors, dtype=float)[net.zone_ordinals(z)[loads.bus]]
         loads.pd_mw *= per_row
         loads.qd_mvar *= per_row
 

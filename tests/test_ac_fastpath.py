@@ -24,14 +24,18 @@ import pytest
 
 from repro.contingency.nminus1 import run_n_minus_1
 from repro.grid.cases import load_case
-from repro.instrumentation.metrics import MetricsRegistry, set_metrics
+from repro.instrumentation.metrics import (
+    ITERATION_BUCKETS,
+    MetricsRegistry,
+    set_metrics,
+)
 from repro.powerflow import (
     AcKernel,
     solve_gauss_seidel,
     solve_newton,
     solve_with_recovery,
 )
-from repro.powerflow.solution import make_admittances
+from repro.powerflow.solution import branch_flows, make_admittances
 from repro.scenarios import (
     BatchStudyRunner,
     BranchOutage,
@@ -41,7 +45,8 @@ from repro.scenarios import (
     UniformLoadScale,
     monte_carlo_ensemble,
 )
-from repro.scenarios.runner import StudyConfig, _WorkerState
+from repro.scenarios.runner import ScenarioResult, StudyConfig, _WorkerState
+from repro.scenarios.spec import LoadVector
 from repro.service import StudyExecutor
 
 TOL = 1e-8
@@ -258,6 +263,169 @@ class TestAcStudyParity:
 
 
 # ----------------------------------------------------------------------
+# chunk-level record reduction vs the per-row PowerFlowResult reduction
+# ----------------------------------------------------------------------
+
+
+def _stressed_study(case_name):
+    """A stressed ensemble whose records exercise every reduced field.
+
+    The case gains a parallel twin of its most-loaded branch, so the two
+    carry exactly equal loading (a tie in every overload set holding
+    either).  Loads are scaled up with noise, the overload threshold sits
+    under the twins' base-case loading, and the voltage band is tight, so
+    overload sets and violation counts are non-empty.  One row fails its
+    perturbation and one is the base case (skipped at the warm start).
+    """
+    net = load_case(case_name)
+    base = solve_newton(net)
+    worst = int(base.branch_ids[np.argmax(base.loading_percent)])
+    net.branches.append(dataclasses.replace(net.branches[worst], name="twin"))
+    net.touch()
+    twinned = solve_newton(net)
+    twin_rows = np.flatnonzero(np.isin(twinned.branch_ids, [worst, net.n_branch - 1]))
+    config = StudyConfig(
+        analysis="powerflow",
+        overload_threshold=0.9 * float(twinned.loading_percent[twin_rows].min()),
+        # Band edges equal to base-case bus voltages: the base row puts
+        # buses exactly on them (strictly outside counts, on does not).
+        vmin=float(np.sort(twinned.vm)[net.n_bus // 5]),
+        vmax=float(np.sort(twinned.vm)[-(net.n_bus // 5)]),
+    )
+    scns = [
+        Scenario(s.name, (UniformLoadScale(1.3),) + s.perturbations, s.tags)
+        for s in monte_carlo_ensemble(n=10, sigma=0.1, seed=17)
+    ]
+    scns.insert(3, Scenario("base"))
+    scns.insert(6, Scenario("bad", (UniformLoadScale(-1.0),)))
+    return net, config, scns, (worst, net.n_branch - 1)
+
+
+def _reference_records(net, config, scns):
+    """Each row solved alone and reduced through ``finalize_row`` and the
+    :class:`PowerFlowResult` accessors — the per-row path the chunk
+    reducer replaced.  Returns the records (timing zeroed), the full
+    results by name, and the solve outcome of every converged row."""
+    kernel = AcKernel(net)
+    records, results, solves = [], {}, []
+    for scn in scns:
+        if scn.name == "bad":
+            records.append(None)
+            continue
+        sbus, pd, qd = scn.ac_injection(net)
+        sol = kernel.solve_chunk(sbus, fd_sweeps=config.ac_fd_sweeps)
+        assert bool(sol.converged[0]), scn.name  # every row stays warm
+        res = kernel.finalize_row(
+            sol.v[0], pd, qd,
+            converged=True,
+            iterations=int(sol.iterations[0]),
+            norm=float(sol.norms[0]),
+        )
+        results[scn.name] = res
+        solves.append((int(sol.iterations[0]), bool(sol.skipped[0])))
+        overloads = res.overloaded_branches(config.overload_threshold)
+        records.append(dataclasses.asdict(ScenarioResult(
+            name=scn.name,
+            tags=dict(scn.tags),
+            converged=True,
+            max_loading_percent=res.max_loading_percent,
+            min_voltage_pu=res.min_voltage_pu,
+            max_voltage_pu=res.max_voltage_pu,
+            losses_mw=res.losses_mw,
+            overloaded_branches=[b for b, _pct in overloads],
+            n_voltage_violations=len(res.voltage_violations(config.vmin, config.vmax)),
+        )))
+    return records, results, solves
+
+
+class TestChunkReduction:
+    @pytest.mark.parametrize("case_name", ["ieee14", "ieee118"])
+    def test_records_match_per_row_reduction(self, case_name):
+        net, config, scns, twins = _stressed_study(case_name)
+        reference, results, solves = _reference_records(net, config, scns)
+        n_ok = len(solves)
+        records = [r for r in reference if r is not None]
+        # The data exercises what the reducer must get right.
+        assert any(r["overloaded_branches"] for r in records)
+        assert any(0 < r["n_voltage_violations"] < net.n_bus for r in records)
+        tied = [
+            r for r in records
+            if set(twins) <= set(r["overloaded_branches"])
+        ]
+        assert tied
+
+        for chunk in (1, 3, 8):
+            registry = MetricsRegistry()
+            previous = set_metrics(registry)
+            try:
+                state = _WorkerState(net, config)
+                out = []
+                for i in range(0, len(scns), chunk):
+                    out += state.run_chunk(scns[i:i + chunk])
+            finally:
+                set_metrics(previous)
+
+            got = []
+            for r in out:
+                d = dataclasses.asdict(r)
+                d["solve_time_s"] = 0.0
+                got.append(d)
+            # Bit-identical to the per-row reduction, whatever chunk a
+            # row lands in (plain == on floats: no tolerance).
+            for want, have in zip(reference, got):
+                if want is not None:
+                    assert have == want, (chunk, want["name"])
+            bad = got[[s.name for s in scns].index("bad")]
+            assert not bad["converged"] and bad["error"]
+
+            # Overloads worst first, ties in branch-row order.
+            for d in got:
+                if not d["overloaded_branches"]:
+                    continue
+                res = results[d["name"]]
+                row_of = {int(b): k for k, b in enumerate(res.branch_ids)}
+                keys = [
+                    (-res.loading_percent[row_of[b]], row_of[b])
+                    for b in d["overloaded_branches"]
+                ]
+                assert keys == sorted(keys)
+            for d in got:
+                if set(twins) <= set(d["overloaded_branches"]):
+                    i = d["overloaded_branches"].index(twins[0])
+                    assert d["overloaded_branches"][i + 1] == twins[1]
+
+            # Counters bill exactly what the per-row path billed.
+            scenarios_total = registry.counter("gridmind_scenarios_total")
+            assert scenarios_total.value(analysis="powerflow", converged=True) == n_ok
+            assert scenarios_total.value(analysis="powerflow", converged=False) == 1
+            n_skipped = sum(skipped for _, skipped in solves)
+            assert n_skipped >= 1
+            assert registry.counter("gridmind_ac_warm_solves_total").total() == (
+                n_ok - n_skipped
+            )
+            assert registry.counter(
+                "gridmind_ac_skipped_converged_total"
+            ).total() == n_skipped
+            hist = registry.histogram(
+                "gridmind_ac_newton_iterations", buckets=ITERATION_BUCKETS
+            )
+            assert hist.count(mode="warm") == n_ok
+            assert hist.sum(mode="warm") == sum(it for it, _ in solves)
+            assert hist.count(mode="cold") == 0
+
+    def test_branch_flows_single_row_matches_stack(self, case14):
+        """A row's flows do not depend on the stack it is reduced in."""
+        kernel = AcKernel(case14)
+        scns = list(monte_carlo_ensemble(n=5, sigma=0.05, seed=2))
+        sol = kernel.solve_chunk(np.vstack([s.ac_injection(case14)[0] for s in scns]))
+        stacked = branch_flows(kernel.arr, kernel.adm, sol.v)
+        for j in range(len(scns)):
+            alone = branch_flows(kernel.arr, kernel.adm, sol.v[j:j + 1])
+            for field in stacked._fields:
+                assert np.array_equal(getattr(alone, field)[0], getattr(stacked, field)[j])
+
+
+# ----------------------------------------------------------------------
 # warm starts through the solver stack
 # ----------------------------------------------------------------------
 
@@ -326,6 +494,29 @@ class TestCaches:
         case14.set_load(2, 30.0)  # touch() invalidates the memo
         _, adm3 = make_admittances(case14)
         assert adm3 is not adm1
+
+    def test_load_vector_memoized_until_mutation(self, case14):
+        first = LoadVector.from_network(case14)
+        memo = case14._loads_memo
+        second = LoadVector.from_network(case14)
+        assert case14._loads_memo is memo  # read once per network version
+        # Every view is a private copy: mutating one touches nothing else.
+        first.pd_mw *= 2.0
+        assert not np.shares_memory(second.pd_mw, memo[1][1])
+        assert np.array_equal(LoadVector.from_network(case14).pd_mw, second.pd_mw)
+        case14.set_load(2, 30.0)  # touch() invalidates the memo
+        fresh = LoadVector.from_network(case14)
+        assert case14._loads_memo is not memo
+        assert fresh.pd_mw[fresh.bus == 2].sum() == 30.0
+
+    def test_copy_starts_with_empty_caches(self, case14):
+        LoadVector.from_network(case14)
+        case14.zone_ordinals(3)
+        make_admittances(case14)
+        clone = case14.copy()
+        assert clone._loads_memo is None
+        assert clone._zone_memo is None
+        assert clone._adm_memo is None
 
     def test_ac_kernel_shared_across_load_levels(self, case14):
         state = _WorkerState(case14, StudyConfig(analysis="powerflow"))

@@ -160,6 +160,15 @@ class TestInjectionVector:
         realized = dc_injections(scn.realize(case14).compile())
         assert np.array_equal(direct, realized)
 
+    def test_zonal_with_labels_bit_identical(self, case14):
+        net = case14.copy()
+        # Three labels over two factors: ordinals wrap modulo the zones.
+        net.set_bus_zones({b: "abc"[b % 3] for b in range(net.n_bus)})
+        scn = Scenario("s", (ZonalLoadScale((1.2, 0.9)), GaussianLoadNoise(0.05, 3)))
+        direct = scn.injection_vector(net)
+        realized = dc_injections(scn.realize(net).compile())
+        assert np.array_equal(direct, realized)
+
     def test_topology_changers_not_injection_only(self):
         assert not Scenario("s", (BranchOutage(0),)).injection_only
         assert not Scenario("s", (GeneratorOutage(0),)).injection_only
@@ -174,6 +183,8 @@ class TestInjectionVector:
             (PerBusLoadScale(((99, 1.1),)),),
             (GaussianLoadNoise(sigma=-1.0, seed=0),),
             (RenewableInjection(bus=2, p_mw=-5.0),),
+            (ZonalLoadScale(()),),
+            (ZonalLoadScale((1.0, -0.5)),),
         ]:
             scn = Scenario("bad", perts)
             with pytest.raises(Exception) as via_realize:

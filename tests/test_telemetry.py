@@ -284,6 +284,16 @@ class TestBusZones:
         assert net.zone_index(0, 2) == 0
         assert net.zone_index(13, 2) == 1
 
+    def test_zone_ordinals_match_zone_index_and_follow_relabels(self, ieee14):
+        net = ieee14.copy()
+        banded = net.zone_ordinals(4)
+        assert banded.tolist() == [net.zone_index(b, 4) for b in range(net.n_bus)]
+        assert net.zone_ordinals(4) is banded  # memoised per version
+        net.set_bus_zones({b: "west" if b < 7 else "east" for b in range(net.n_bus)})
+        assert net.zone_ordinals(4).tolist() == [0] * 7 + [1] * 7
+        with pytest.raises(ValueError, match="n_zones"):
+            net.zone_ordinals(0)
+
     def test_zonal_load_scale_uses_zone_metadata(self, ieee14):
         net = ieee14.copy()
         base_total = sum(ld.pd_mw for ld in net.loads)
