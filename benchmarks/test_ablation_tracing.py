@@ -12,9 +12,12 @@ Monte-Carlo ensemble through the shared
 * ``metrics+trace`` — additionally a recording tracer with full
   cross-process span stitching (the ``--trace`` path),
 
-alternating the mode order across repeats and keeping the per-mode
-minimum wall time (the noise-robust estimator), then reports the
-overhead of each mode over ``off``.  Acceptance: metrics overhead < 2 %
+rotating the mode order across rounds.  Each mode's overhead is the
+median, over rounds, of its wall divided by the same round's ``off``
+wall: a round's modes run back to back, so a slow spell on a shared host
+scales a whole round and cancels in its ratios, and the median discards
+the rounds a hiccup hit anyway (a per-mode minimum wall would let one
+lucky ``off`` run read as double-digit overhead).  Acceptance: metrics overhead < 2 %
 and tracing overhead < 10 % at ensemble scale; the committed table was
 recorded at 10 000 scenarios.  Small tier-1 runs assert structure plus a
 loose noise guard instead of the headline thresholds —
@@ -25,6 +28,7 @@ strict thresholds).
 from __future__ import annotations
 
 import os
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -40,7 +44,11 @@ from repro.service import StudyExecutor
 
 CASE = "ieee14"
 N_SCENARIOS = int(os.environ.get("GRIDMIND_E15_SCENARIOS", "400"))
-REPEATS = int(os.environ.get("GRIDMIND_E15_REPEATS", "3"))
+#: Rotated rounds of all three modes.  The median ratio needs at least
+#: 7; the default 11 keeps a 20 % metrics-mode cost reliably above the
+#: 10 % tier-1 guard on a host whose single-run walls vary by +-20 %.
+MIN_ROUNDS = 7
+REPEATS = max(MIN_ROUNDS, int(os.environ.get("GRIDMIND_E15_REPEATS", "11")))
 JOBS = 2
 CHUNK = 100
 WINDOW = 4
@@ -106,7 +114,10 @@ def test_ablation_tracing(benchmark):
 
     best = {mode: min(walls[mode]) for mode in MODES}
     overhead = {
-        mode: best[mode] / best["off"] - 1.0 for mode in MODES
+        mode: statistics.median(
+            wall / off for wall, off in zip(walls[mode], walls["off"])
+        ) - 1.0
+        for mode in MODES
     }
 
     # Identical study outcomes in every mode: observability never
@@ -156,7 +167,8 @@ def test_ablation_tracing(benchmark):
         ))
     lines += [
         "",
-        f"min of {REPEATS} alternating repeats per mode | {CASE}, "
+        f"overhead = median over {REPEATS} rotated rounds of wall / that round's "
+        f"off wall | {CASE}, "
         f"{JOBS}-worker shared executor, chunk {CHUNK}, window {WINDOW} | "
         f"aggregates identical in all modes | acceptance: metrics < 2%, "
         f"tracing < 10% at >= {STRICT_SCALE} scenarios",

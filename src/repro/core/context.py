@@ -21,7 +21,7 @@ from pathlib import Path
 
 from ..contingency.cache import ContingencyCache
 from ..grid.cases import load_case
-from ..grid.io import from_matpower, to_matpower
+from ..grid.io import dumps_record, from_matpower, network_from_record, network_record
 from ..grid.network import Network
 from ..opf.result import OPFResult
 from ..powerflow.solution import PowerFlowResult
@@ -32,6 +32,12 @@ from .schemas import (
     PowerSystemModel,
     ProvenanceRecord,
 )
+
+#: Format tag of saved sessions; the network rides as a ``repro-case-v2``
+#: record.
+SESSION_FORMAT = "gridmind-session-v2"
+#: Older sessions, whose network is a MATPOWER-row dict, still load.
+LEGACY_SESSION_FORMAT = "gridmind-session-v1"
 
 
 @dataclass
@@ -211,16 +217,16 @@ class AgentContext:
     # persistence
     # ------------------------------------------------------------------
     def save(self, path: str | Path) -> None:
-        """Serialise session state (network, artefacts, diff log) to JSON."""
+        """Serialise session state (network, artefacts, diff log) to JSON.
+
+        The network goes in as a lossless ``repro-case-v2`` record, so a
+        restored session keeps every load row, name and zone label — and
+        a seeded study on it draws exactly what it drew before saving.
+        """
         payload: dict = {
-            "format": "gridmind-session-v1",
+            "format": SESSION_FORMAT,
             "case_name": self.case_name,
-            "network": to_matpower(self.network) if self.network else None,
-            "network_meta": {
-                "name": self.case_name,
-                "description": self.network.metadata.description if self.network else "",
-                "source": self.network.metadata.source if self.network else "",
-            },
+            "network": network_record(self.network) if self.network else None,
             "acopf_solution": (
                 self.acopf_solution.model_dump() if self.acopf_solution else None
             ),
@@ -231,15 +237,22 @@ class AgentContext:
             "modifications": [m.model_dump() for m in self.modifications],
             "provenance": [p.model_dump() for p in self.provenance],
         }
-        Path(path).write_text(json.dumps(payload, indent=1, default=str))
+        Path(path).write_text(dumps_record(payload, default=str))
 
     @classmethod
     def load(cls, path: str | Path) -> "AgentContext":
+        """Restore a session written by :meth:`save` (v2, or a legacy v1
+        file, whose MATPOWER-row network merges loads per bus)."""
         payload = json.loads(Path(path).read_text())
-        if payload.get("format") != "gridmind-session-v1":
-            raise ValueError(f"{path}: not a gridmind-session-v1 file")
+        fmt = payload.get("format")
+        if fmt not in (SESSION_FORMAT, LEGACY_SESSION_FORMAT):
+            raise ValueError(
+                f"{path}: not a {SESSION_FORMAT} or {LEGACY_SESSION_FORMAT} file"
+            )
         ctx = cls()
-        if payload.get("network") is not None:
+        if payload.get("network") is not None and fmt == SESSION_FORMAT:
+            ctx.network = network_from_record(payload["network"])
+        elif payload.get("network") is not None:  # v1: MATPOWER rows + meta
             meta = payload.get("network_meta", {})
             ctx.network = from_matpower(
                 payload["network"],

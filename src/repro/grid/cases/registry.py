@@ -5,12 +5,15 @@
 copy*, so agent-side mutations never leak between sessions.  Table 2 of
 the paper is reproduced by :func:`case_inventory`.
 
-Synthetic cases are expensive to calibrate (the 300-bus system runs
-repeated N-1 sweeps during generation), so calibrated snapshots are
-shipped as JSON under ``cases/data/`` — regenerate them with
-``python scripts/generate_cases.py`` after changing the generator.  When a
-snapshot is missing the registry falls back to live generation, so the
-two paths always produce the same network (both are seeded by case name).
+Synthetic cases are expensive to calibrate: live generation takes about
+1 s for ieee30, 9 s for ieee118 and 95-110 s for ieee57/ieee300 on a
+2-core host, because the generator runs repeated power flows and N-1
+sweeps.  Calibrated snapshots are therefore shipped as lossless
+``repro-case-v2`` records under ``cases/data/`` and load in a few
+milliseconds.  When a snapshot is missing the registry falls back to live
+generation (seeded by case name).  A snapshot equals live generation only
+while it is current: after changing the generator, regenerate with
+``python scripts/generate_cases.py``; ``--check`` reports stale files.
 """
 
 from __future__ import annotations
@@ -20,11 +23,20 @@ from collections.abc import Callable
 from functools import lru_cache
 from pathlib import Path
 
+from ..io import load_json
 from ..network import Network
 from . import ieee14
 from .synthetic import build_synthetic
 
 _DATA_DIR = Path(__file__).parent / "data"
+
+#: Relative float tolerance between a snapshot and live generation.  The
+#: calibration runs iterative solvers on the host's BLAS, so another
+#: machine may land a few ulps away; everything else must match exactly.
+SNAPSHOT_REL_TOL = 1e-12
+
+#: Cases whose builder loads a calibrated snapshot (ieee14 is genuine data).
+SNAPSHOT_CASES = ("ieee30", "ieee57", "ieee118", "ieee300")
 
 # Component counts from the paper's Table 2 (bus, gen, load, line, trafo).
 TABLE2_COUNTS: dict[str, tuple[int, int, int, int, int]] = {
@@ -52,14 +64,15 @@ def register_case(name: str, builder: Callable[[], Network]) -> None:
     _BUILDERS[name.lower()] = builder
 
 
+def snapshot_path(name: str) -> Path:
+    """Where the calibrated snapshot of case ``name`` is shipped."""
+    return _DATA_DIR / f"{name}.json"
+
+
 def _synthetic_builder(name: str) -> Callable[[], Network]:
-    nb, ng, nl, nline, ntr = TABLE2_COUNTS[name]
-
     def build() -> Network:
-        snapshot = _DATA_DIR / f"{name}.json"
+        snapshot = snapshot_path(name)
         if snapshot.exists():
-            from ..io import load_json
-
             return load_json(snapshot)
         return generate_synthetic_case(name)
 
@@ -102,7 +115,7 @@ def generate_synthetic_case(name: str, max_seed_tries: int = 5) -> Network:
 
 
 register_case("ieee14", ieee14.build)
-for _name in ("ieee30", "ieee57", "ieee118", "ieee300"):
+for _name in SNAPSHOT_CASES:
     register_case(_name, _synthetic_builder(_name))
 
 

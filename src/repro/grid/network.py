@@ -99,6 +99,16 @@ class NetworkArrays:
         )
 
 
+def _copy_components(items: list) -> list:
+    """Field-wise copies of component dataclasses with immutable fields."""
+    out = []
+    for item in items:
+        twin = object.__new__(type(item))
+        twin.__dict__.update(item.__dict__)
+        out.append(twin)
+    return out
+
+
 class Network:
     """A mutable power network: buses, generators, loads, branches.
 
@@ -396,12 +406,18 @@ class Network:
         raise KeyError(f"no branch between buses {from_bus} and {to_bus}")
 
     def copy(self) -> "Network":
-        """Deep copy; the copy starts with a fresh compile cache."""
+        """Deep copy; the copy starts with a fresh compile cache.
+
+        Every component field holds an immutable value (numbers, strings,
+        enums, tuples), so copying each component's field dict is a deep
+        copy at a fraction of ``deepcopy``'s cost; only ``metadata`` (whose
+        ``extras`` is a dict) goes through ``deepcopy``.
+        """
         clone = Network(self.base_mva, _copy.deepcopy(self.metadata))
-        clone.buses = _copy.deepcopy(self.buses)
-        clone.gens = _copy.deepcopy(self.gens)
-        clone.loads = _copy.deepcopy(self.loads)
-        clone.branches = _copy.deepcopy(self.branches)
+        clone.buses = _copy_components(self.buses)
+        clone.gens = _copy_components(self.gens)
+        clone.loads = _copy_components(self.loads)
+        clone.branches = _copy_components(self.branches)
         clone._bus_zones = dict(self._bus_zones)
         return clone
 

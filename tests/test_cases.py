@@ -10,6 +10,13 @@ from repro.grid.cases import (
     case_inventory,
     load_case,
 )
+from repro.grid.cases.registry import (
+    SNAPSHOT_CASES,
+    SNAPSHOT_REL_TOL,
+    generate_synthetic_case,
+    snapshot_path,
+)
+from repro.grid.io import load_json, record_differences
 
 
 @pytest.mark.parametrize("name", list(TABLE2_COUNTS))
@@ -169,3 +176,28 @@ class TestFreshCopyIsolation:
         assert load_case("ieee14").total_load_mw() == pytest.approx(
             a.total_load_mw()
         )
+
+
+@pytest.mark.parametrize("name", SNAPSHOT_CASES)
+def test_snapshot_is_shipped(name, monkeypatch):
+    """Every synthetic case builds from its snapshot, never a live build."""
+    from repro.grid.cases import registry
+
+    def live_build(_name):
+        raise AssertionError(f"{_name} fell back to live generation")
+
+    monkeypatch.setattr(registry, "generate_synthetic_case", live_build)
+    net = registry._BUILDERS[name]()
+    assert net.metadata.case_name == name
+    assert net.n_bus == TABLE2_COUNTS[name][0]
+
+
+@pytest.mark.parametrize("name", ["ieee30", "ieee118"])
+def test_snapshot_matches_live_generation(name):
+    """The shipped snapshot is what the generator builds today: order,
+    names, enums and flags exactly, floats within the BLAS tolerance.
+    (ieee57/ieee300 take minutes; ``generate_cases.py --check`` covers
+    them in tier-2.)"""
+    live = generate_synthetic_case(name)
+    shipped = load_json(snapshot_path(name))
+    assert record_differences(shipped, live, rel_tol=SNAPSHOT_REL_TOL) == []

@@ -146,6 +146,47 @@ class TestAgentContext:
         assert restored.acopf_fresh()
         assert len(restored.modifications) == 1
 
+    def test_restored_session_replays_seeded_study(self, tmp_path):
+        """A saved session keeps every load row, so a seeded Monte Carlo
+        study (one noise factor per load row) draws the same ensemble."""
+        from dataclasses import asdict
+
+        from repro.scenarios import BatchStudyRunner, monte_carlo_ensemble
+
+        def study(net):
+            scenarios = monte_carlo_ensemble(n=32, sigma=0.08, seed=11)
+            results = BatchStudyRunner(analysis="powerflow").run(net, scenarios).results
+            return [
+                {k: v for k, v in asdict(r).items() if k != "solve_time_s"}
+                for r in results
+            ]
+
+        ctx = AgentContext()
+        ctx.activate_case("ieee30")
+        path = tmp_path / "session.json"
+        ctx.save(path)
+        restored = AgentContext.load(path)
+        assert json.loads(path.read_text())["format"] == "gridmind-session-v2"
+        assert restored.network.loads == ctx.network.loads
+        assert study(restored.network) == study(ctx.network)
+
+    def test_load_reads_v1_session(self, tmp_path):
+        from repro.grid.io import to_matpower
+
+        ctx = AgentContext()
+        ctx.activate_case("ieee14")
+        p = tmp_path / "old.json"
+        p.write_text(json.dumps({
+            "format": "gridmind-session-v1",
+            "case_name": "ieee14",
+            "network": to_matpower(ctx.network),
+            "network_meta": {"name": "ieee14", "description": "d", "source": "s"},
+        }))
+        restored = AgentContext.load(p)
+        assert restored.case_name == "ieee14"
+        assert restored.network.metadata.description == "d"
+        assert restored.network.summary() == ctx.network.summary()
+
     def test_load_rejects_other_format(self, tmp_path):
         p = tmp_path / "x.json"
         p.write_text('{"format": "nope"}')

@@ -124,6 +124,46 @@ def test_copy_is_independent(tiny_net):
     assert tiny_net.loads_at_bus(1)[0].pd_mw == pytest.approx(60.0)
 
 
+def test_copy_equals_original_field_by_field(tiny_net):
+    tiny_net.metadata.extras["tag"] = [1, 2]
+    clone = tiny_net.copy()
+    for key in ("buses", "gens", "loads", "branches"):
+        originals, twins = getattr(tiny_net, key), getattr(clone, key)
+        assert twins == originals
+        assert all(a is not b for a, b in zip(originals, twins))
+    clone.metadata.extras["tag"].append(3)  # extras is deep-copied
+    assert tiny_net.metadata.extras["tag"] == [1, 2]
+
+
+def _is_immutable(value) -> bool:
+    if isinstance(value, tuple):
+        return all(_is_immutable(v) for v in value)
+    return isinstance(value, (bool, int, float, str, BusType))
+
+
+def test_component_fields_are_immutable(case14):
+    """Network.copy copies each component's field dict, which is only a
+    deep copy while every field holds an immutable value; a list or dict
+    field would be shared between a network and its copies."""
+    from dataclasses import fields
+
+    from repro.grid.components import Branch, Bus, Generator, Load
+
+    samples = {
+        Bus: [Bus(index=0), *case14.buses],
+        Generator: [Generator(bus=0), *case14.gens],
+        Load: [Load(bus=0), *case14.loads],
+        Branch: [Branch(0, 1), *case14.branches],
+    }
+    for cls, items in samples.items():
+        names = [f.name for f in fields(cls)]
+        for item in items:
+            assert sorted(vars(item)) == sorted(names)  # no undeclared state
+            for name in names:
+                value = getattr(item, name)
+                assert _is_immutable(value), f"{cls.__name__}.{name} = {value!r}"
+
+
 def test_compile_caches_until_touch(tiny_net):
     arr1 = tiny_net.compile()
     arr2 = tiny_net.compile()
