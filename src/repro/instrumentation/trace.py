@@ -8,7 +8,8 @@ stack::
 
     service.run_study            GridMindService (asyncio front door)
       study.run                  BatchStudyRunner
-        executor.dispatch        StudyExecutor / pool / serial loop
+        executor.dispatch        shared StudyExecutor (pool.dispatch for a
+                                 run-scoped one, serial.dispatch in-process)
           worker.chunk           pool worker process (re-parented)
             scenario.run         _WorkerState.run_scenario
               solve.newton       powerflow/OPF entry points

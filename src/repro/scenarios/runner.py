@@ -3,10 +3,12 @@
 Each scenario realises a fresh network copy and runs one of six
 analyses: AC power flow, linear DC screening, DCOPF, ACOPF, two-stage
 contingency screening, or preventive SCOPF.  Scenarios are independent,
-so the runner fans chunks out over a ``concurrent.futures`` process
-pool; every worker is initialised once with the pickled base network and
-then amortises the expensive shared state across all scenarios it
-processes:
+so chunks either run in-process (the serial reference path) or fan out
+over a :class:`~repro.service.executor.StudyExecutor` — the service's
+shared one, or a pool scoped to a single ``run(...)`` when ``n_jobs >
+1``.  Either way each chunk lands on a :class:`_WorkerState` that keeps
+the base network resident and amortises the expensive shared state
+across all scenarios it processes:
 
 * the compiled DC kernels and PTDF/LODF sensitivity factors, keyed by an
   electrical-topology digest (load-only perturbations reuse one
@@ -22,13 +24,14 @@ chunks degrade gracefully to per-scenario evaluation.
 
 Results are plain-data :class:`ScenarioResult` records — cheap to pickle
 back — and the chunked dispatch preserves scenario order, so serial,
-parallel, and streamed runs aggregate identically (a property the test
+pooled, and streamed runs aggregate identically (a property the test
 suite asserts).
 
 The execution pipeline is *streaming*: chunks are drawn lazily from the
-scenario stream, at most a bounded window of chunks is in flight at once
-(backpressure against the pool), and completed chunks are folded straight
-into an online :class:`~repro.scenarios.aggregate.StudyReducer` plus a
+scenario stream, the executor keeps at most a bounded window of chunks
+in flight (backpressure against the pool), and completed chunks are
+folded straight into an online
+:class:`~repro.scenarios.aggregate.StudyReducer` plus a
 capped worst-K heap instead of accumulating every result.  ``run(...,
 keep_results=True)`` (the default) still materialises the full result
 list for persistence and bit-identical determinism checks; large
@@ -42,10 +45,10 @@ import itertools
 import math
 import os
 import time
-from collections import Counter, deque
-from concurrent.futures import ProcessPoolExecutor
+from collections import Counter
+from contextlib import ExitStack, closing
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -57,7 +60,7 @@ from ..instrumentation.metrics import (
     set_metrics,
     state_delta,
 )
-from ..instrumentation.trace import current_trace_context, get_tracer, worker_trace
+from ..instrumentation.trace import get_tracer, worker_trace
 from ..contingency.cache import ContingencyCache
 from ..contingency.lodf import SensitivityFactors, compute_factors
 from ..contingency.nminus1 import NMinus1Report, analyze_single_outage
@@ -77,6 +80,9 @@ from .aggregate import (
 )
 from .spec import Scenario, ScenarioError
 from .stream import as_stream, stream_length
+
+if TYPE_CHECKING:  # service.executor imports this module
+    from ..service.executor import StudyExecutor
 
 ANALYSES = ("powerflow", "dc", "dcopf", "acopf", "screening", "scopf")
 
@@ -317,6 +323,23 @@ class StudyConfig:
         return SliceSpec(by=tuple(self.slice_by), max_values=self.slice_max_values)
 
 
+def _error_result(scenario: Scenario, error: str | Exception) -> ScenarioResult:
+    """The failed-scenario record every evaluation route writes.
+
+    An exception becomes its message: bare for a :class:`ScenarioError`
+    (a perturbation the network cannot take), prefixed with the type name
+    for anything else — so error records match across routes by
+    construction.
+    """
+    if isinstance(error, ScenarioError):
+        error = str(error)
+    elif isinstance(error, Exception):
+        error = f"{type(error).__name__}: {error}"
+    return ScenarioResult(
+        name=scenario.name, tags=dict(scenario.tags), converged=False, error=error
+    )
+
+
 class _WorkerState:
     """One worker's long-lived state: base network plus reusable caches."""
 
@@ -341,6 +364,15 @@ class _WorkerState:
         self.kernel_cache: dict[bytes, DcKernel] = {}
         self.ac_kernel_cache: dict[bytes, AcKernel] = {}
         self.ca_cache = ContingencyCache()
+        self._base_connected: bool | None = None
+
+    @property
+    def base_connected(self) -> bool:
+        """Whether the base network is connected, checked once per state:
+        the base never changes, and the fast paths ask on every chunk."""
+        if self._base_connected is None:
+            self._base_connected = gridgraph.is_connected(self.base)
+        return self._base_connected
 
     # ------------------------------------------------------------------
     def kernel_for(self, net: Network) -> DcKernel:
@@ -459,7 +491,7 @@ class _WorkerState:
         """
         cfg = self.config
         base = self.base
-        if not gridgraph.is_connected(base):
+        if not self.base_connected:
             return None
         try:
             kernel = self.kernel_for(base)
@@ -467,24 +499,9 @@ class _WorkerState:
             return None
 
         tick = time.perf_counter()
-        results: list[ScenarioResult | None] = [None] * len(scenarios)
-        vectors: list[np.ndarray] = []
-        live: list[int] = []
-        for i, scenario in enumerate(scenarios):
-            try:
-                vectors.append(scenario.injection_vector(base))
-                live.append(i)
-            except ScenarioError as exc:
-                results[i] = ScenarioResult(
-                    name=scenario.name, tags=dict(scenario.tags),
-                    converged=False, error=str(exc),
-                )
-            except Exception as exc:
-                results[i] = ScenarioResult(
-                    name=scenario.name, tags=dict(scenario.tags),
-                    converged=False,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
+        results, vectors, live = self._replay_rows(
+            scenarios, lambda s: s.injection_vector(base)
+        )
 
         metrics = get_metrics()
         with get_tracer().span(
@@ -526,6 +543,28 @@ class _WorkerState:
                 counter.inc(analysis=cfg.analysis, converged=r.converged)
         return results  # type: ignore[return-value]
 
+    @staticmethod
+    def _replay_rows(
+        scenarios: list[Scenario], replay: Callable[[Scenario], np.ndarray]
+    ) -> tuple[list[ScenarioResult | None], list[np.ndarray], list[int]]:
+        """Replay each scenario's injection row for a fast-path group.
+
+        Returns ``(results, rows, live)``: ``rows[j]`` is the replay of
+        ``scenarios[live[j]]``, and a scenario whose replay raises gets
+        the scalar path's error record in ``results`` (every other slot
+        is ``None``) — one bad perturbation never sinks the group.
+        """
+        results: list[ScenarioResult | None] = [None] * len(scenarios)
+        rows: list[np.ndarray] = []
+        live: list[int] = []
+        for i, scenario in enumerate(scenarios):
+            try:
+                rows.append(replay(scenario))
+                live.append(i)
+            except Exception as exc:
+                results[i] = _error_result(scenario, exc)
+        return results, rows, live
+
     def _dc_result(
         self, scenario: Scenario, arr, loading: np.ndarray
     ) -> ScenarioResult:
@@ -565,7 +604,7 @@ class _WorkerState:
         """
         cfg = self.config
         base = self.base
-        if not gridgraph.is_connected(base):
+        if not self.base_connected:
             return None
         try:
             kernel = self.ac_kernel_for(base)
@@ -575,24 +614,9 @@ class _WorkerState:
             return None
 
         tick = time.perf_counter()
-        results: list[ScenarioResult | None] = [None] * len(scenarios)
-        rows: list[np.ndarray] = []
-        live: list[int] = []
-        for i, scenario in enumerate(scenarios):
-            try:
-                rows.append(scenario.ac_injection(base)[0])
-                live.append(i)
-            except ScenarioError as exc:
-                results[i] = ScenarioResult(
-                    name=scenario.name, tags=dict(scenario.tags),
-                    converged=False, error=str(exc),
-                )
-            except Exception as exc:
-                results[i] = ScenarioResult(
-                    name=scenario.name, tags=dict(scenario.tags),
-                    converged=False,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
+        results, rows, live = self._replay_rows(
+            scenarios, lambda s: s.ac_injection(base)[0]
+        )
 
         metrics = get_metrics()
         with get_tracer().span(
@@ -669,28 +693,16 @@ class _WorkerState:
                 # Outage combinations can island the system (N-2 over a
                 # bridge); no solver can run, but the study must record
                 # the scenario rather than die on a singular matrix.
-                result = ScenarioResult(
-                    name=scenario.name, tags=dict(scenario.tags),
-                    converged=False,
-                    error=(
-                        "scenario islands the network "
-                        f"({gridgraph.stranded_load_mw(net, frozenset()):.1f} MW stranded)"
-                    ),
+                result = _error_result(
+                    scenario,
+                    "scenario islands the network "
+                    f"({gridgraph.stranded_load_mw(net, frozenset()):.1f} MW stranded)",
                 )
             else:
                 runner = getattr(self, f"_run_{self.config.analysis}")
                 result = runner(net, scenario, **hints)
-        except ScenarioError as exc:
-            result = ScenarioResult(
-                name=scenario.name, tags=dict(scenario.tags),
-                converged=False, error=str(exc),
-            )
         except Exception as exc:  # solver edge cases must not kill the batch
-            result = ScenarioResult(
-                name=scenario.name, tags=dict(scenario.tags),
-                converged=False,
-                error=f"{type(exc).__name__}: {exc}",
-            )
+            result = _error_result(scenario, exc)
         result.solve_time_s = time.perf_counter() - tick
         return result
 
@@ -759,10 +771,7 @@ class _WorkerState:
                 buckets=ITERATION_BUCKETS,
             ).observe(float(res.iterations), mode="cold")
         if not res.converged:
-            return ScenarioResult(
-                name=scenario.name, tags=dict(scenario.tags),
-                converged=False, error=res.message or "power flow diverged",
-            )
+            return _error_result(scenario, res.message or "power flow diverged")
         return self._pf_records(
             [scenario],
             res.vm[np.newaxis, :],
@@ -794,10 +803,7 @@ class _WorkerState:
     def _run_opf(self, net: Network, scenario: Scenario, solve) -> ScenarioResult:
         res = solve(net)
         if not res.converged:
-            return ScenarioResult(
-                name=scenario.name, tags=dict(scenario.tags),
-                converged=False, error=res.message or "OPF did not converge",
-            )
+            return _error_result(scenario, res.message or "OPF did not converge")
         return self._reduce_opf(scenario, res)
 
     def _run_dc(self, net: Network, scenario: Scenario) -> ScenarioResult:
@@ -826,10 +832,8 @@ class _WorkerState:
 
         res = solve_scopf(net)
         if not res.converged:
-            return ScenarioResult(
-                name=scenario.name, tags=dict(scenario.tags),
-                converged=False,
-                error=res.opf.message or "SCOPF master did not converge",
+            return _error_result(
+                scenario, res.opf.message or "SCOPF master did not converge"
             )
         out = self._reduce_opf(scenario, res.opf)
         out.security_cost = float(res.security_cost)
@@ -843,11 +847,7 @@ class _WorkerState:
         cfg = self.config
         base = self._solve_pf(net)
         if not base.converged:
-            return ScenarioResult(
-                name=scenario.name, tags=dict(scenario.tags),
-                converged=False,
-                error=base.message or "base power flow diverged",
-            )
+            return _error_result(scenario, base.message or "base power flow diverged")
 
         if estimate is None:
             # ``estimate`` arrives precomputed from the chunk fast path
@@ -908,7 +908,7 @@ class _WorkerState:
 
 
 # ----------------------------------------------------------------------
-# process-pool plumbing: one _WorkerState per worker, chunked dispatch
+# chunked dispatch: one _WorkerState per process, in-process or pooled
 # ----------------------------------------------------------------------
 
 
@@ -916,8 +916,9 @@ class _WorkerState:
 class ChunkOutcome:
     """One evaluated chunk plus its observability payload.
 
-    What every execution path (serial, per-run pool, shared executor)
-    yields to the runner's fold loop: the results themselves, the
+    What both execution paths (the in-process serial loop and
+    :meth:`~repro.service.executor.StudyExecutor.run_study_chunks`)
+    yield to the runner's fold loop: the results themselves, the
     worker's identity and wall time (surfaced on ``StudyProgress``), the
     finished span dicts recorded inside the worker (stitched into the
     parent trace via :meth:`~repro.instrumentation.trace.Tracer.adopt`),
@@ -978,23 +979,6 @@ def _execute_chunk(
     )
 
 
-_WORKER: _WorkerState | None = None
-
-
-def _init_worker(base: Network, config: StudyConfig) -> None:
-    global _WORKER
-    _WORKER = _WorkerState(base, config)
-
-
-def _run_chunk(
-    scenarios: list[Scenario],
-    trace_ctx: tuple[str, str] | None = None,
-    collect_metrics: bool = True,
-) -> ChunkOutcome:
-    assert _WORKER is not None, "worker used before initialisation"
-    return _execute_chunk(_WORKER, scenarios, trace_ctx, collect_metrics)
-
-
 def default_chunk_size(total: int | None, n_jobs: int) -> int:
     """~4 chunks per worker for sized ensembles, capped at the stream stride."""
     if total is None:
@@ -1013,53 +997,21 @@ def iter_chunks(
         yield batch
 
 
-def windowed_map(
-    submit: Callable[[list[Scenario]], object],
-    chunks: Iterator[list[Scenario]],
-    window: int,
-) -> Iterator[ChunkOutcome]:
-    """Submit chunks with at most ``window`` in flight; yield results in order.
-
-    The backpressure loop for the runner's per-run pool path: the
-    scenario stream is advanced only as completed chunks drain, so
-    neither the pending futures nor the undispatched ensemble ever
-    materialise.  (:meth:`repro.service.executor.StudyExecutor
-    .run_study_iter` implements the same discipline inline, where
-    submission must interleave with the shared pool's lock and
-    broken-pool bookkeeping.)
-    """
-    if window < 1:
-        raise ValueError(f"in-flight window must be >= 1, got {window}")
-    pending: deque = deque()
-    try:
-        for chunk in itertools.islice(chunks, window):
-            pending.append(submit(chunk))
-        while pending:
-            results = pending.popleft().result()
-            nxt = next(chunks, None)
-            if nxt is not None:
-                pending.append(submit(nxt))
-            yield results
-    finally:
-        # Early consumer exit must not leave queued chunks running.
-        for future in pending:
-            future.cancel()
-
-
 @dataclass
 class BatchStudyRunner:
     """Execute scenario streams with optional process-pool parallelism.
 
-    ``n_jobs <= 1`` runs in-process through the exact same worker-state
-    code path, so parallel and serial studies produce identical results.
-    ``chunk_size`` controls dispatch granularity (default: ~4 chunks per
-    worker, balancing load against per-chunk pickling overhead).
-
-    ``executor`` injects a long-lived shared pool (duck-typed to
-    :class:`repro.service.executor.StudyExecutor`): when set, chunks are
-    routed through it instead of spawning a per-``run()`` pool, so
-    back-to-back studies amortise worker start-up.  The executor decides
-    its own worker count; ``n_jobs`` is ignored on that path.
+    Every pooled study runs on a
+    :class:`~repro.service.executor.StudyExecutor`.  ``executor`` injects
+    a long-lived shared one (the service layer's), so back-to-back
+    studies amortise worker start-up; it decides its own worker count and
+    ``n_jobs`` is ignored.  Without one, ``n_jobs > 1`` opens an executor
+    scoped to the ``run(...)`` call and shuts it down when the call
+    returns or raises.  ``n_jobs <= 1`` runs in-process through the same
+    worker-state code path — the reference the pooled paths must match
+    record for record.  ``chunk_size`` controls dispatch granularity
+    (default: ~4 chunks per worker, balancing load against per-chunk
+    pickling overhead).
 
     Streaming controls:
 
@@ -1080,8 +1032,8 @@ class BatchStudyRunner:
     vmax: float = 1.06
     ac_budget: int = 20
     top_n: int = 5
-    executor: object | None = None  # shared StudyExecutor (service layer)
-    window: int | None = None  # max in-flight chunks (pool paths)
+    executor: StudyExecutor | None = None  # shared pool (service layer)
+    window: int | None = None  # max in-flight chunks (pooled paths)
     worst_k: int = DEFAULT_WORST_K
     #: Tag dimensions for sliced aggregation: a tuple of tag names, or a
     #: comma-separated string of names/aliases ("hour, zone") which is
@@ -1149,30 +1101,6 @@ class BatchStudyRunner:
                 wall_s=time.perf_counter() - tick,
             )
 
-    def _pool_chunks(
-        self,
-        base: Network,
-        config: StudyConfig,
-        scenarios,
-        chunk: int,
-        jobs: int,
-        window: int,
-    ) -> Iterator[ChunkOutcome]:
-        collect = get_metrics().enabled
-        with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_init_worker, initargs=(base, config)
-        ) as pool:
-            # Trace context is captured per submission: submissions are
-            # driven by the consumer draining chunks, so they see the
-            # fold loop's active dispatch span.
-            yield from windowed_map(
-                lambda c: pool.submit(
-                    _run_chunk, c, current_trace_context(), collect
-                ),
-                iter_chunks(scenarios, chunk),
-                window,
-            )
-
     # ------------------------------------------------------------------
     def run(
         self,
@@ -1182,6 +1110,8 @@ class BatchStudyRunner:
         progress: Callable[[StudyProgress], None] | None = None,
         keep_results: bool = True,
     ) -> StudyResult:
+        from ..service.executor import StudyExecutor
+
         config = self.config()
         tracer = get_tracer()
         metrics = get_metrics()
@@ -1193,51 +1123,6 @@ class BatchStudyRunner:
         scenarios = as_stream(scenarios)
         total = stream_length(scenarios)
 
-        if self.executor is not None and (total is None or total >= 2):
-            jobs = getattr(self.executor, "max_workers", 1)
-            dispatch_name = "executor.dispatch"
-            # Ask the executor for its chunk/window plan so the residency
-            # bound below accounts for its undrained futures (duck-typed;
-            # executors without one get the per-run defaults).
-            plan = getattr(self.executor, "dispatch_plan", None)
-            if plan is not None:
-                chunk, window = plan(
-                    total, chunk_size=self.chunk_size, window=self.window
-                )
-            else:
-                chunk = self.chunk_size or default_chunk_size(total, jobs)
-                window = max(1, self.window or 2 * jobs)
-            in_flight_extra = (window - 1) * chunk
-            run_chunks = getattr(self.executor, "run_study_chunks", None)
-            if run_chunks is not None:
-                chunk_iter = run_chunks(
-                    base, config, scenarios,
-                    chunk_size=self.chunk_size, window=self.window,
-                )
-            else:  # duck-typed executor without the instrumented API
-                chunk_iter = (
-                    ChunkOutcome(results=r)
-                    for r in self.executor.run_study_iter(
-                        base, config, scenarios,
-                        chunk_size=self.chunk_size, window=self.window,
-                    )
-                )
-        elif self.n_jobs <= 1 or (total is not None and total < 2):
-            jobs = 1
-            dispatch_name = "serial.dispatch"
-            chunk = self.chunk_size or default_chunk_size(total, 1)
-            in_flight_extra = 0
-            chunk_iter = self._serial_chunks(base, config, scenarios, chunk)
-        else:
-            jobs = self.n_jobs if total is None else min(self.n_jobs, total)
-            dispatch_name = "pool.dispatch"
-            chunk = self.chunk_size or default_chunk_size(total, jobs)
-            window = max(1, self.window or 2 * jobs)
-            in_flight_extra = (window - 1) * chunk
-            chunk_iter = self._pool_chunks(
-                base, config, scenarios, chunk, jobs, window
-            )
-
         # The dimensional reducer degenerates to the plain global one for
         # an empty slice spec, so every study takes the same path.
         reducer = SlicedReducer(config.slice_spec())
@@ -1248,58 +1133,92 @@ class BatchStudyRunner:
         n_events = 0
         peak_resident = 0
 
-        # The dispatch span is held open by *this* consumer loop: chunk
-        # iterators are generators, so every submission they make while
-        # being drained captures this span as the remote parent — which
-        # is how worker-chunk spans end up parented under it.
-        with tracer.span("study.run", analysis=self.analysis, case=base.name) as root:
-            with tracer.span(dispatch_name, n_jobs=jobs):
-                for outcome in chunk_iter:
-                    chunk_results = outcome.results
-                    n_done += len(chunk_results)
-                    n_chunks += 1
-                    tracer.adopt(outcome.spans)
-                    metrics.merge_state(outcome.metrics)
-                    # Worker-side chunk wall: the latency signal the
-                    # chunk_wall_p95 health rule watches, and the
-                    # executor occupancy billed to the session.
-                    metrics.histogram(
-                        "gridmind_chunk_wall_seconds",
-                        "Worker-side study chunk wall time",
-                    ).observe(outcome.wall_s)
-                    record_chunk(len(chunk_results), outcome.wall_s)
-                    with tracer.span("study.reduce", n_results=len(chunk_results)):
-                        reducer.add_many(chunk_results)
-                        for r in chunk_results:
-                            heap.push(r)
-                    if kept is not None:
-                        kept.extend(chunk_results)
-                    # Parent-resident records right now: the kept list (or just
-                    # this chunk when dropping), the worst-K slice, plus the
-                    # worst-case results buffered in completed-but-undrained
-                    # futures of the in-flight window.
-                    resident = (len(kept) if kept is not None else len(chunk_results))
-                    peak_resident = max(
-                        peak_resident, resident + len(heap) + in_flight_extra
-                    )
-                    if progress is not None:
-                        snap = reducer.snapshot()
-                        n_events += 1
-                        progress(
-                            StudyProgress(
-                                n_done=n_done,
-                                n_total=total,
-                                n_chunks=n_chunks,
-                                n_converged=snap["n_converged"],
-                                n_errors=snap["n_errors"],
-                                violation_rate=snap["violation_rate"],
-                                elapsed_s=time.perf_counter() - start,
-                                chunk_wall_s=outcome.wall_s,
-                                worker_pid=outcome.worker_pid,
-                            )
+        with ExitStack() as stack:
+            executor = self.executor
+            dispatch_name = "executor.dispatch"
+            if total is not None and total < 2:
+                executor = None
+            elif executor is None and self.n_jobs > 1:
+                # A pool scoped to this run, shut down when it returns or
+                # raises.
+                jobs = self.n_jobs if total is None else min(self.n_jobs, total)
+                executor = stack.enter_context(StudyExecutor(max_workers=jobs))
+                dispatch_name = "pool.dispatch"
+            if executor is None:
+                jobs = 1
+                dispatch_name = "serial.dispatch"
+                chunk = self.chunk_size or default_chunk_size(total, 1)
+                in_flight_extra = 0
+                chunk_iter = self._serial_chunks(base, config, scenarios, chunk)
+            else:
+                jobs = executor.max_workers
+                # The executor's own chunk/window plan, so the residency
+                # bound below accounts for its undrained futures.
+                chunk, window = executor.dispatch_plan(
+                    total, chunk_size=self.chunk_size, window=self.window
+                )
+                in_flight_extra = (window - 1) * chunk
+                chunk_iter = executor.run_study_chunks(
+                    base, config, scenarios,
+                    chunk_size=self.chunk_size, window=self.window,
+                )
+            # Closed before a scoped pool shuts down (exit order is LIFO):
+            # an early exit cancels the window's queued chunks rather than
+            # waiting for them.
+            chunk_iter = stack.enter_context(closing(chunk_iter))
+
+            # The dispatch span is held open by *this* consumer loop: chunk
+            # iterators are generators, so every submission they make while
+            # being drained captures this span as the remote parent — which
+            # is how worker-chunk spans end up parented under it.
+            with tracer.span("study.run", analysis=self.analysis, case=base.name) as root:
+                with tracer.span(dispatch_name, n_jobs=jobs):
+                    for outcome in chunk_iter:
+                        chunk_results = outcome.results
+                        n_done += len(chunk_results)
+                        n_chunks += 1
+                        tracer.adopt(outcome.spans)
+                        metrics.merge_state(outcome.metrics)
+                        # Worker-side chunk wall: the latency signal the
+                        # chunk_wall_p95 health rule watches, and the
+                        # executor occupancy billed to the session.
+                        metrics.histogram(
+                            "gridmind_chunk_wall_seconds",
+                            "Worker-side study chunk wall time",
+                        ).observe(outcome.wall_s)
+                        record_chunk(len(chunk_results), outcome.wall_s)
+                        with tracer.span("study.reduce", n_results=len(chunk_results)):
+                            reducer.add_many(chunk_results)
+                            for r in chunk_results:
+                                heap.push(r)
+                        if kept is not None:
+                            kept.extend(chunk_results)
+                        # Parent-resident records right now: the kept list (or just
+                        # this chunk when dropping), the worst-K slice, plus the
+                        # worst-case results buffered in completed-but-undrained
+                        # futures of the in-flight window.
+                        resident = (len(kept) if kept is not None else len(chunk_results))
+                        peak_resident = max(
+                            peak_resident, resident + len(heap) + in_flight_extra
                         )
-            root.tags["n_scenarios"] = n_done
-            root.tags["n_chunks"] = n_chunks
+                        if progress is not None:
+                            snap = reducer.snapshot()
+                            n_events += 1
+                            progress(
+                                StudyProgress(
+                                    n_done=n_done,
+                                    n_total=total,
+                                    n_chunks=n_chunks,
+                                    n_converged=snap["n_converged"],
+                                    n_errors=snap["n_errors"],
+                                    violation_rate=snap["violation_rate"],
+                                    elapsed_s=time.perf_counter() - start,
+                                    chunk_wall_s=outcome.wall_s,
+                                    worker_pid=outcome.worker_pid,
+                                )
+                            )
+                root.tags["n_scenarios"] = n_done
+                root.tags["n_chunks"] = n_chunks
 
         metrics.counter(
             "gridmind_studies_total", "Batch studies by analysis"

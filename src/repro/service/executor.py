@@ -1,11 +1,13 @@
-"""StudyExecutor: one long-lived process pool shared by every study.
+"""StudyExecutor: the process pool every pooled study runs on.
 
-:class:`~repro.scenarios.runner.BatchStudyRunner` historically spun up a
-``ProcessPoolExecutor`` per ``run()`` call, paying worker start-up
-(interpreter fork + numpy/scipy import on spawn) for every study.  The
-service layer instead owns a single :class:`StudyExecutor`: a work queue
-over one persistent pool that all sessions share, so back-to-back studies
-reuse warm workers.
+The service layer owns a single long-lived :class:`StudyExecutor`: a
+work queue over one persistent pool that all sessions share, so
+back-to-back studies reuse warm workers instead of paying worker
+start-up (fork, plus the numpy/scipy import under spawn) per study.
+:class:`~repro.scenarios.runner.BatchStudyRunner` with ``n_jobs > 1``
+and no injected executor opens one scoped to its ``run()`` call, so
+there is one chunk-dispatch loop — with its backpressure, broken-pool
+retry, trace stitching and metric merging — for every pooled study.
 
 Worker-side state is content-addressed.  Each worker process keeps a
 small LRU of :class:`~repro.scenarios.runner._WorkerState` instances
@@ -18,16 +20,16 @@ pickles the base network once per study, not once per chunk.
 
 Determinism: chunks are submitted and collected in scenario order and
 evaluated by the exact same ``_WorkerState`` code path the serial runner
-uses, so executor-backed, per-run-pool, and serial studies produce
+uses, so shared-executor, scoped-executor, and serial studies produce
 identical result lists.
 
-Dispatch is *streaming*: :meth:`StudyExecutor.run_study_iter` draws
+Dispatch is *streaming*: :meth:`StudyExecutor.run_study_chunks` draws
 chunks lazily from the scenario stream with a bounded in-flight window
-(backpressure against the shared pool) and yields completed chunks in
-order, so a 10k-scenario ensemble flows through the parent process
-without ever materialising — the consumer folds each chunk into an
-online reducer and drops it.  :meth:`run_study` keeps the materialised
-list shape for callers that want it.
+(backpressure against the pool) and yields completed chunks in order,
+so a 10k-scenario ensemble flows through the parent process without
+ever materialising — the consumer folds each chunk into an online
+reducer and drops it.  :meth:`run_study` keeps the materialised list
+shape for callers that want it.
 """
 
 from __future__ import annotations
@@ -183,7 +185,7 @@ class StudyExecutor:
         """Resolve the (chunk size, in-flight window) a study will use.
 
         The single source of truth for the executor's dispatch geometry:
-        :meth:`run_study_iter` submits with it, and
+        :meth:`run_study_chunks` submits with it, and
         :class:`~repro.scenarios.runner.BatchStudyRunner` consults it for
         its resident-results bound — keeping the two layers' views of
         chunking identical matters because order-preserving, identically-
@@ -339,21 +341,6 @@ class StudyExecutor:
         with self._lock:
             self.n_studies += 1
 
-    def run_study_iter(
-        self,
-        base: Network,
-        config: StudyConfig,
-        scenarios: Iterable[Scenario],
-        *,
-        chunk_size: int | None = None,
-        window: int | None = None,
-    ) -> Iterator[list[ScenarioResult]]:
-        """Plain-results view of :meth:`run_study_chunks` (compat shape)."""
-        for outcome in self.run_study_chunks(
-            base, config, scenarios, chunk_size=chunk_size, window=window
-        ):
-            yield outcome.results
-
     def run_study(
         self,
         base: Network,
@@ -364,15 +351,15 @@ class StudyExecutor:
     ) -> list[ScenarioResult]:
         """Execute ``scenarios`` on the shared pool, preserving order.
 
-        Materialised convenience over :meth:`run_study_iter` — same
+        Materialised convenience over :meth:`run_study_chunks` — same
         windowed dispatch underneath, results concatenated for callers
         that want the full list.
         """
         results: list[ScenarioResult] = []
-        for chunk_results in self.run_study_iter(
+        for outcome in self.run_study_chunks(
             base, config, scenarios, chunk_size=chunk_size
         ):
-            results.extend(chunk_results)
+            results.extend(outcome.results)
         return results
 
     def _reset_broken_pool(self, pool: ProcessPoolExecutor) -> None:

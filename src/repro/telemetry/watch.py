@@ -174,7 +174,7 @@ def run_watch(
                     n_anomaly_frames += 1
             n_frames += len(frames)
             scenario = stream.scenario_for_tick(tick, frames)
-            result = state.run_scenario(scenario)
+            (result,) = state.run_chunk([scenario])
             results_counter.inc()
             for closed in study.add(result):
                 close_window(closed)

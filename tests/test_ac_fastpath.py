@@ -525,6 +525,28 @@ class TestCaches:
         assert state.ac_kernel_for(scaled) is k1
         assert len(state.ac_kernel_cache) == 1
 
+    @pytest.mark.parametrize("analysis", ["powerflow", "dc"])
+    def test_base_connectivity_checked_once_per_state(
+        self, case14, analysis, monkeypatch
+    ):
+        from repro.grid import graph as gridgraph
+
+        state = _WorkerState(case14, StudyConfig(analysis=analysis))
+        calls = []
+        real = gridgraph.is_connected
+
+        def counting(net):
+            calls.append(net is state.base)
+            return real(net)
+
+        monkeypatch.setattr(gridgraph, "is_connected", counting)
+        scns = list(monte_carlo_ensemble(n=9, sigma=0.05, seed=6))
+        for start in range(0, 9, 3):
+            results = state.run_chunk(scns[start:start + 3])
+            assert all(r.converged for r in results)
+        # Three fast-path chunks, one check of the base.
+        assert calls.count(True) == 1
+
     def test_ac_kernel_cache_capped(self, case14):
         state = _WorkerState(case14, StudyConfig(analysis="powerflow"))
         state.KERNEL_CACHE_MAX_ENTRIES = 2

@@ -3,8 +3,8 @@
 Covers the streaming rework end to end: scenario streams expand lazily
 with deterministic per-index seeds, the online :class:`StudyReducer`
 matches the materialised aggregation bit-for-bit (and its P² sketches
-stay within tolerance at 10k draws), the execution paths (serial, per-run
-pool, shared executor) produce identical aggregates with bounded resident
+stay within tolerance at 10k draws), the execution paths (serial,
+run-scoped executor, shared executor) produce identical aggregates with bounded resident
 results and backpressure, and the store's retention/integrity lifecycle
 ops behave.
 """
@@ -12,6 +12,7 @@ ops behave.
 import dataclasses
 import itertools
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -325,6 +326,20 @@ class TestStreamingExecution:
             return study.peak_resident_results
 
         assert peak(32) == peak(16)  # O(chunk + K), not O(n)
+
+    def test_scoped_pool_shut_down_when_progress_raises(self, case14):
+        before = set(multiprocessing.active_children())
+
+        def explode(_progress):
+            raise RuntimeError("consumer gave up")
+
+        with pytest.raises(RuntimeError, match="consumer gave up"):
+            BatchStudyRunner(analysis="powerflow", n_jobs=2, chunk_size=1).run(
+                case14, monte_carlo_ensemble(n=8, sigma=0.05, seed=17),
+                progress=explode,
+            )
+        # The run-scoped executor's workers are joined, not leaked.
+        assert set(multiprocessing.active_children()) <= before
 
     def test_results_preserved_with_keep_results(self, case14):
         scns = monte_carlo_ensemble(n=6, sigma=0.05, seed=16)

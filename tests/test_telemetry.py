@@ -9,6 +9,7 @@ import pytest
 
 from repro.core.cli import main as cli_main
 from repro.grid.cases import load_case
+from repro.instrumentation.metrics import MetricsRegistry, set_metrics
 from repro.llm.nlu import Intent, classify
 from repro.scenarios.runner import ScenarioResult
 from repro.scenarios.spec import ZonalLoadScale
@@ -356,6 +357,19 @@ class TestRunWatch:
             if a["rule"] == "telemetry_anomaly_rate" and a["transition"] == "resolved"
         ]
         assert resolved
+
+    def test_ticks_take_the_warm_ac_route(self, ieee14):
+        registry = MetricsRegistry()
+        previous = set_metrics(registry)
+        try:
+            out = _watch(ieee14, n_ticks=4)
+        finally:
+            set_metrics(previous)
+        assert out["n_windows"] == 1
+        # Each tick is a one-row chunk through _WorkerState.run_chunk, so
+        # injection-only ticks solve warm through the cached AC kernel.
+        assert registry.counter("gridmind_ac_warm_solves_total").total() >= 1.0
+        assert registry.counter("gridmind_scenarios_total").total() == 4.0
 
     def test_sliding_windows_stay_bounded(self, ieee14):
         out = _watch(ieee14, n_ticks=12, window_ticks=4, slide_ticks=2)
